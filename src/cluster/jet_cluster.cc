@@ -210,16 +210,12 @@ std::vector<int32_t> JetCluster::AliveNodes() const {
 
 JetCluster::Diagnostics JetCluster::DiagnosticsDump() const {
   std::vector<obs::MetricSnapshot> all;
-  int64_t owned_partitions = 0;
-  int64_t ownership_migrations = 0;
   {
     jet::MutexLock lock(mutex_);
     for (const auto& job : jobs_) {
       auto snap = job->MetricSnapshots();
       all.insert(all.end(), std::make_move_iterator(snap.begin()),
                  std::make_move_iterator(snap.end()));
-      owned_partitions += job->owned_partitions();
-      ownership_migrations += job->ownership_transfers();
     }
     obs::MetricSnapshot alive;
     alive.id.name = "cluster.alive_members";
@@ -264,14 +260,12 @@ JetCluster::Diagnostics JetCluster::DiagnosticsDump() const {
   add("imdg.partition_skew_x1000", obs::MetricKind::kGauge,
       static_cast<int64_t>(gu.partition_skew * 1000.0));
   add("imdg.snapshots_aborted", obs::MetricKind::kCounter, store_.aborted_count());
-  // Single-writer ownership (ROADMAP item 3): partitions currently under
-  // an exclusive owner (processor state domains + grid owned-access
-  // handles) and how many claims migrated with their tasklet.
-  add("grid.owned_partitions", obs::MetricKind::kGauge,
-      owned_partitions + grid_.ownership().owned_count());
+  // Single-writer ownership of grid state: partitions claimed for owned
+  // access (GridMatcherP) and how many claims migrated with their tasklet.
+  add("grid.owned_partitions", obs::MetricKind::kGauge, grid_.ownership().owned_count());
   add("grid.batched_partition_moves", obs::MetricKind::kCounter, gs.batched_moves);
   add("scheduler.ownership_migrations", obs::MetricKind::kCounter,
-      ownership_migrations + grid_.ownership().transfers());
+      grid_.ownership().transfers());
   add("net.messages_sent", obs::MetricKind::kCounter, network_.sent_count());
   add("net.messages_delivered", obs::MetricKind::kCounter, network_.delivered_count());
   add("net.messages_dropped", obs::MetricKind::kCounter, network_.dropped_count());
@@ -595,7 +589,6 @@ void ClusterJob::Attempt::StopAll() {
 
 Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snapshot) {
   auto attempt = std::make_shared<Attempt>();
-  attempt->ownership = std::make_unique<imdg::OwnershipRegistry>();
   attempt->nodes = std::move(nodes);
   const auto node_count = static_cast<int32_t>(attempt->nodes.size());
   const Clock* clock = &WallClock::Global();
@@ -650,7 +643,7 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
     auto plan = core::ExecutionPlan::Build(
         *dag_, node, config_, cluster_->config_.threads_per_node, clock,
         &attempt->cancelled, factory.get(), sc,
-        attempt->registries[static_cast<size_t>(i)].get(), attempt->ownership.get());
+        attempt->registries[static_cast<size_t>(i)].get());
     if (!plan.ok()) return plan.status();
     attempt->net_tasklets.push_back(factory->TakeTasklets());
     attempt->plans.push_back(std::move(plan.value()));
@@ -724,28 +717,9 @@ void ClusterJob::StopCurrentAttempt() {
   }
   if (attempt != nullptr) {
     attempt->StopAll();
-    if (attempt->ownership != nullptr) {
-      ownership_transfers_base_.fetch_add(attempt->ownership->transfers(),
-                                          std::memory_order_acq_rel);
-    }
     jet::MutexLock lock(job_mutex_);
     completed_attempt_ = std::move(attempt);
   }
-}
-
-int64_t ClusterJob::owned_partitions() const {
-  jet::MutexLock lock(job_mutex_);
-  if (attempt_ == nullptr || attempt_->ownership == nullptr) return 0;
-  return attempt_->ownership->owned_count();
-}
-
-int64_t ClusterJob::ownership_transfers() const {
-  int64_t total = ownership_transfers_base_.load(std::memory_order_acquire);
-  jet::MutexLock lock(job_mutex_);
-  if (attempt_ != nullptr && attempt_->ownership != nullptr) {
-    total += attempt_->ownership->transfers();
-  }
-  return total;
 }
 
 bool ClusterJob::StopForRecovery() {

@@ -228,14 +228,6 @@ class ClusterJob {
     return snapshots_aborted_.load(std::memory_order_acquire);
   }
 
-  /// Partitions currently claimed by this job's processors (current
-  /// attempt; 0 between attempts). Safe from any thread.
-  int64_t owned_partitions() const;
-
-  /// Cumulative ownership transfers across all attempts (claims that
-  /// migrated with their tasklet). Safe from any thread.
-  int64_t ownership_transfers() const;
-
  private:
   friend class JetCluster;
 
@@ -244,13 +236,6 @@ class ClusterJob {
     std::vector<int32_t> nodes;  // physical ids; index in vector = plan node id
     std::atomic<bool> cancelled{false};
     core::SnapshotControl snapshot_control;
-    // Single-writer state-ownership registry of this attempt. Per-attempt
-    // (not per-cluster): a restarted attempt's processors re-claim the
-    // same {vertex, partition} slots, which must not collide with the
-    // stopped attempt's claims (released only when its processors die).
-    // Declared before the plans so it outlives the claim releases running
-    // in the processors' destructors.
-    std::unique_ptr<imdg::OwnershipRegistry> ownership;
     // Per-member observability (index = plan node id). Declared before the
     // plans/tasklets/services so it is destroyed after them: tasklets and
     // workers hold instrument handles and profiler slots.
@@ -332,9 +317,6 @@ class ClusterJob {
   // race a ~1ms window to observe AllComplete on the live attempt.
   std::atomic<bool> completed_naturally_{false};
   std::atomic<int64_t> snapshots_aborted_{0};
-  // Ownership transfers folded in from stopped attempts (the live
-  // attempt's registry is added on read).
-  std::atomic<int64_t> ownership_transfers_base_{0};
   std::unique_ptr<JobSupervisor> supervisor_;
   Status first_error_;
 };

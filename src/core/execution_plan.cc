@@ -8,8 +8,7 @@ Result<std::unique_ptr<ExecutionPlan>> ExecutionPlan::Build(
     const Dag& dag, const NodeInfo& node, const JobConfig& config,
     int32_t default_local_parallelism, const Clock* clock,
     const std::atomic<bool>* cancelled, RemoteEdgeFactory* remote_edges,
-    SnapshotControl* snapshot_control, obs::MetricsRegistry* metrics,
-    imdg::OwnershipRegistry* ownership) {
+    SnapshotControl* snapshot_control, obs::MetricsRegistry* metrics) {
   JET_RETURN_IF_ERROR(dag.Validate());
   if (node.node_count > 1 && remote_edges == nullptr) {
     return InvalidArgumentError("multi-node plan requires a RemoteEdgeFactory");
@@ -137,7 +136,6 @@ Result<std::unique_ptr<ExecutionPlan>> ExecutionPlan::Build(
       ctx.cancelled = cancelled;
       ctx.vertex_id = v;
       ctx.metrics = metrics;
-      ctx.ownership = ownership;
       if (snapshot_control != nullptr) {
         ctx.committed_snapshot = &snapshot_control->committed;
       }

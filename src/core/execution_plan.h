@@ -62,15 +62,11 @@ class ExecutionPlan {
   /// when the job runs without a processing guarantee. `metrics` (optional)
   /// is handed to every tasklet's ProcessorContext so the tasklets and
   /// their processors register "tasklet.*" / exchange instruments with it.
-  /// `ownership` (optional) is the member's single-writer state-ownership
-  /// registry; keyed-aggregation processors claim their partition share in
-  /// it at Init and access that state lock-free afterwards.
   static Result<std::unique_ptr<ExecutionPlan>> Build(
       const Dag& dag, const NodeInfo& node, const JobConfig& config,
       int32_t default_local_parallelism, const Clock* clock,
       const std::atomic<bool>* cancelled, RemoteEdgeFactory* remote_edges,
-      SnapshotControl* snapshot_control, obs::MetricsRegistry* metrics = nullptr,
-      imdg::OwnershipRegistry* ownership = nullptr);
+      SnapshotControl* snapshot_control, obs::MetricsRegistry* metrics = nullptr);
 
   /// All tasklets of this node, in creation order.
   std::vector<Tasklet*> Tasklets();

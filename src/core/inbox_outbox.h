@@ -123,10 +123,15 @@ struct StateEntry {
 /// outbox of output records to be dispatched downstream").
 ///
 /// The outbox has one bucket per output edge plus a bucket for snapshot
-/// state. Buckets have bounded capacity; `Offer*` returns false when a
-/// bucket is full, which is the backpressure signal telling the processor
-/// to stop and yield (the tasklet will drain buckets into the outbound
-/// queues and retry).
+/// state, and it is the only place a processor's output waits: the tasklet
+/// forwards no watermark, barrier or Done until every bucket is empty, so
+/// control items always stay behind the data emitted before them.
+///
+/// Processors check `HasRoom()` before each unit of work (one input item,
+/// one closed window) and `Emit` all of that unit's output, so a bucket
+/// overshoots its capacity by at most one unit. The bounded `Offer*`
+/// wrappers suit emitters that produce one item at a time (sources): they
+/// return false when the bucket is full, telling the processor to yield.
 ///
 /// Not thread-safe: offers and drains must all come from the owning
 /// tasklet's worker thread (checked under JETSIM_DEBUG_CHECKS).
@@ -136,6 +141,31 @@ class Outbox {
   /// `bucket_capacity` items each.
   explicit Outbox(int edge_count, size_t bucket_capacity = 128)
       : buckets_(static_cast<size_t>(edge_count)), capacity_(bucket_capacity) {}
+
+  /// True when every edge bucket is below capacity: the processor may
+  /// start another unit of work.
+  bool HasRoom() const {
+    for (const auto& bucket : buckets_) {
+      if (bucket.size() >= capacity_) return false;
+    }
+    return true;
+  }
+
+  /// Emits an item to every output edge, regardless of capacity. The item
+  /// is *moved* into the last bucket and refcount-copied into the first
+  /// n-1.
+  void Emit(Item&& item) {
+    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (Emit)");
+    const size_t n = buckets_.size();
+    for (size_t i = 0; i + 1 < n; ++i) buckets_[i].push_back(item);
+    if (n > 0) buckets_[n - 1].push_back(std::move(item));
+  }
+
+  /// Emits a state entry to the snapshot bucket, regardless of capacity.
+  void EmitState(StateEntry entry) {
+    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (EmitState)");
+    snapshot_bucket_.push_back(std::move(entry));
+  }
 
   /// Offers an item to one output edge. Returns false (and does not
   /// consume) if that bucket is full.
@@ -149,17 +179,11 @@ class Outbox {
   }
 
   /// Offers an item to every output edge; returns false (and consumes
-  /// nothing) unless all buckets have room. The item is *moved* into the
-  /// last bucket and refcount-copied into the first n-1 — the caller's
-  /// item is consumed (left empty) on success, untouched on failure.
+  /// nothing) unless all buckets have room. The caller's item is consumed
+  /// (left empty) on success, untouched on failure.
   bool OfferToAll(Item&& item) {
-    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (OfferToAll)");
-    for (const auto& bucket : buckets_) {
-      if (bucket.size() >= capacity_) return false;
-    }
-    const size_t n = buckets_.size();
-    for (size_t i = 0; i + 1 < n; ++i) buckets_[i].push_back(item);
-    if (n > 0) buckets_[n - 1].push_back(std::move(item));
+    if (!HasRoom()) return false;
+    Emit(std::move(item));
     return true;
   }
 
@@ -172,11 +196,13 @@ class Outbox {
 
   /// Offers a state entry to the snapshot bucket. Returns false if full.
   bool OfferToSnapshot(StateEntry entry) {
-    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (OfferToSnapshot)");
     if (snapshot_bucket_.size() >= capacity_) return false;
-    snapshot_bucket_.push_back(std::move(entry));
+    EmitState(std::move(entry));
     return true;
   }
+
+  /// Bucket capacity (the tasklet also paces snapshot writes by it).
+  size_t capacity() const { return capacity_; }
 
   /// Number of output edges.
   int edge_count() const { return static_cast<int>(buckets_.size()); }

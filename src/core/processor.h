@@ -14,10 +14,6 @@
 #include "obs/metric_id.h"
 #include "obs/metrics_registry.h"
 
-namespace jet::imdg {
-class OwnershipRegistry;
-}  // namespace jet::imdg
-
 namespace jet::core {
 
 /// Everything a processor instance can see about its execution environment.
@@ -47,12 +43,6 @@ struct ProcessorContext {
   /// Identity ({vertex, tasklet}) the plan assigned to this instance, ready
   /// to tag instruments with.
   obs::MetricTags metric_tags;
-  /// Single-writer state-ownership registry (ROADMAP item 3); nullptr when
-  /// the execution runs without ownership tracking. Keyed-aggregation
-  /// processors claim their partition share in their vertex's domain at
-  /// Init; the scheduler transfers the claims on worker handoff via
-  /// AdoptWorkerOwnership.
-  imdg::OwnershipRegistry* ownership = nullptr;
 
   /// Highest snapshot id the coordinator committed (0 when none/unknown).
   int64_t CommittedSnapshot() const {
@@ -88,10 +78,11 @@ class Processor {
   }
 
   /// Consumes items from `inbox` (input edge `ordinal`), emitting results
-  /// to the outbox. The processor should consume as much as it can; items
-  /// left in the inbox are re-offered on the next call (do this when the
-  /// outbox rejects an emission). Source processors (no input edges) keep
-  /// the default no-op and do their work in Complete().
+  /// to the outbox. The processor takes the next item only while
+  /// `Outbox::HasRoom()` and emits all of that item's output; items left in
+  /// the inbox are re-offered on the next call. Output never waits anywhere
+  /// but in the outbox. Source processors (no input edges) keep the default
+  /// no-op and do their work in Complete().
   virtual void Process(int ordinal, Inbox* inbox) {
     (void)ordinal;
     (void)inbox;
@@ -107,7 +98,9 @@ class Processor {
   /// A watermark `wm` has been coalesced across all input queues: no data
   /// item with timestamp <= wm will arrive on any input. Return true when
   /// fully handled; returning false re-delivers the same watermark later
-  /// (use when the outbox is full mid-flush).
+  /// (emit one closed window per `Outbox::HasRoom()` check and return
+  /// false while more remain). The tasklet forwards the watermark only
+  /// after everything emitted here has left the outbox.
   virtual bool TryProcessWatermark(Nanos wm) {
     (void)wm;
     return true;
@@ -126,10 +119,11 @@ class Processor {
   /// cancelled/deadline.
   virtual bool Complete() { return true; }
 
-  /// Save all state to the outbox's snapshot bucket. Return true when all
-  /// state has been offered; false to continue in a later call (outbox
-  /// full). Called between two input batches, never concurrently with
-  /// Process.
+  /// Save all state to the outbox's snapshot bucket (`Outbox::EmitState`
+  /// takes every entry in one pass). Return true when all state has been
+  /// emitted; false to be called again (bounded `OfferToSnapshot` callers).
+  /// Called between two input batches, never concurrently with Process;
+  /// the barrier follows once the snapshot bucket has drained.
   virtual bool SaveToSnapshot() { return true; }
 
   /// Restore one state entry captured by SaveToSnapshot. Called before any

@@ -44,33 +44,23 @@ class FlatMapP final : public Processor {
 
   void Process(int ordinal, Inbox* inbox) override {
     (void)ordinal;
-    if (!FlushPending()) return;
-    while (!inbox->Empty()) {
+    Outbox* outbox = ctx()->outbox;
+    while (!inbox->Empty() && outbox->HasRoom()) {
       const Item* item = inbox->Peek();
       buf_.clear();
       fn_(item->payload.As<In>(), &buf_);
       for (auto& rec : buf_) {
         Nanos ts = rec.timestamp.value_or(item->timestamp);
         uint64_t key = rec.key_hash.value_or(item->key_hash);
-        pending_.push_back(Item::Data<Out>(std::move(rec.value), ts, key));
+        outbox->Emit(Item::Data<Out>(std::move(rec.value), ts, key));
       }
       inbox->RemoveFront();
-      if (!FlushPending()) return;
     }
   }
 
  private:
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   Fn fn_;
   std::vector<OutRecord<Out>> buf_;
-  std::deque<Item> pending_;
 };
 
 /// Convenience factory: 1-to-1 map.

@@ -198,8 +198,14 @@ bool ProcessorTasklet::DrainOutbox() {
       bucket.erase(bucket.begin(), bucket.begin() + static_cast<std::ptrdiff_t>(delivered));
     }
   }
+  // Snapshot state is written at most one bucket capacity per pass, so a
+  // large state spreads over several calls instead of one long one.
   auto& snapshot_bucket = outbox_.snapshot_bucket();
-  while (!snapshot_bucket.empty()) {
+  for (size_t budget = outbox_.capacity(); !snapshot_bucket.empty(); --budget) {
+    if (budget == 0) {
+      fully_drained = false;
+      break;
+    }
     if (snapshot_control_ == nullptr || !snapshot_control_->write_entry) {
       snapshot_bucket.pop_front();
       continue;
@@ -467,10 +473,12 @@ void ProcessorTasklet::DoSnapshotSave() {
     MarkProgress();
     return;
   }
-  if (!DrainOutbox()) return;  // flush remaining state entries
   state_ = State::kSnapshotBarrier;
   control_armed_ = false;
   MarkProgress();
+  // The barrier follows every state entry and item emitted before it: it
+  // goes out now if the outbox drained, else after Call() has drained it.
+  if (DrainOutbox()) DoSnapshotBarrier();
 }
 
 void ProcessorTasklet::DoSnapshotBarrier() {
@@ -543,6 +551,9 @@ void ProcessorTasklet::DoEmitDone() {
   }
   control_armed_ = false;
   state_ = State::kDone;
+  // A finished tasklet stays alive for its metrics: hand back the memory
+  // its (now empty) buckets grew to while emitting closed-window bursts.
+  for (int o = 0; o < outbox_.edge_count(); ++o) std::vector<Item>().swap(outbox_.bucket(o));
   done_flag_.store(true, std::memory_order_release);
   done_gauge_.Set(1);
   MarkProgress();

@@ -1,5 +1,7 @@
 #include "imdg/ownership.h"
 
+#include <string>
+
 namespace jet::imdg {
 
 PartitionOwnershipTable::PartitionOwnershipTable(int32_t partition_count)
@@ -88,34 +90,6 @@ bool PartitionOwnershipTable::IsOwnedBy(PartitionId partition, int64_t tasklet) 
   if (partition < 0 || static_cast<size_t>(partition) >= owners_size_) return false;
   jet::MutexLock lock(mutex_);
   return owners_[static_cast<size_t>(partition)].tasklet == tasklet;
-}
-
-PartitionOwnershipTable* OwnershipRegistry::TableFor(const std::string& domain,
-                                                     int32_t partition_count) {
-  jet::MutexLock lock(mutex_);
-  auto it = tables_.find(domain);
-  if (it != tables_.end()) {
-    if (it->second->partition_count() != partition_count) return nullptr;
-    return it->second.get();
-  }
-  auto table = std::make_unique<PartitionOwnershipTable>(partition_count);
-  PartitionOwnershipTable* raw = table.get();
-  tables_[domain] = std::move(table);
-  return raw;
-}
-
-int64_t OwnershipRegistry::owned_count() const {
-  jet::MutexLock lock(mutex_);
-  int64_t total = 0;
-  for (const auto& [name, table] : tables_) total += table->owned_count();
-  return total;
-}
-
-int64_t OwnershipRegistry::transfers() const {
-  jet::MutexLock lock(mutex_);
-  int64_t total = 0;
-  for (const auto& [name, table] : tables_) total += table->transfers();
-  return total;
 }
 
 }  // namespace jet::imdg

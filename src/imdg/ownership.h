@@ -3,10 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -84,36 +81,6 @@ class PartitionOwnershipTable {
   size_t owners_size_;  // fixed at construction; readable without the mutex
   std::atomic<int64_t> owned_count_{0};
   std::atomic<int64_t> transfers_{0};
-};
-
-/// Named ownership domains. Independent keyed-state spaces (one per DAG
-/// vertex, plus the grid's own partition space) each get their own table:
-/// the accumulate and combine stages of a two-stage aggregation both own
-/// "their" partition p, but of different state, so a single flat table
-/// would report false conflicts.
-class OwnershipRegistry {
- public:
-  OwnershipRegistry() = default;
-  OwnershipRegistry(const OwnershipRegistry&) = delete;
-  OwnershipRegistry& operator=(const OwnershipRegistry&) = delete;
-
-  /// Returns the table for `domain`, creating it with `partition_count`
-  /// partitions on first use. The pointer stays valid for the registry's
-  /// lifetime. Returns nullptr when an existing domain's partition count
-  /// conflicts with the request.
-  PartitionOwnershipTable* TableFor(const std::string& domain,
-                                    int32_t partition_count);
-
-  /// Sum of owned partitions across all domains.
-  int64_t owned_count() const;
-
-  /// Sum of ownership transfers across all domains.
-  int64_t transfers() const;
-
- private:
-  mutable jet::Mutex mutex_;
-  std::unordered_map<std::string, std::unique_ptr<PartitionOwnershipTable>> tables_
-      JET_GUARDED_BY(mutex_);
 };
 
 }  // namespace jet::imdg

@@ -1,8 +1,6 @@
 #ifndef JETSIM_PIPELINE_PLANNER_H_
 #define JETSIM_PIPELINE_PLANNER_H_
 
-#include <deque>
-
 #include "common/status.h"
 #include "core/dag.h"
 #include "core/processor.h"
@@ -31,11 +29,9 @@ class FusedStatelessP final : public core::Processor {
 
   void Process(int ordinal, core::Inbox* inbox) override {
     (void)ordinal;
-    if (!FlushPending()) return;
-    while (!inbox->Empty()) {
+    while (!inbox->Empty() && ctx()->outbox->HasRoom()) {
       ApplyChain(*inbox->Peek());
       inbox->RemoveFront();
-      if (!FlushPending()) return;
     }
   }
 
@@ -48,21 +44,12 @@ class FusedStatelessP final : public core::Processor {
       for (const core::Item& item : scratch_a_) fn(item, &scratch_b_);
       scratch_a_.swap(scratch_b_);
     }
-    for (auto& item : scratch_a_) pending_.push_back(std::move(item));
-  }
-
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
+    for (auto& item : scratch_a_) ctx()->outbox->Emit(std::move(item));
   }
 
   std::vector<ItemTransformFn> chain_;
   std::vector<core::Item> scratch_a_;
   std::vector<core::Item> scratch_b_;
-  std::deque<core::Item> pending_;
 };
 
 /// Lowers a stage graph to a core::Dag: fuses stateless chains, expands

@@ -1,7 +1,6 @@
 #ifndef JETSIM_SHUFFLEBENCH_GRID_MATCHER_H_
 #define JETSIM_SHUFFLEBENCH_GRID_MATCHER_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,7 +11,6 @@
 #include "common/rng.h"
 #include "core/processor.h"
 #include "core/processors_window.h"
-#include "core/state_ownership.h"
 #include "imdg/grid.h"
 #include "shufflebench/generator.h"
 #include "shufflebench/matcher.h"
@@ -39,8 +37,7 @@ namespace jet::shufflebench {
 /// in the destructor. A re-submission over the same grid map must destroy
 /// the previous execution's processors first (cluster restarts keep the
 /// stopped attempt alive for metrics, so grid-owned jobs are for
-/// single-attempt bench/test runs; per-vertex domains have no such
-/// constraint because the registry itself is per-attempt).
+/// single-attempt bench/test runs).
 class GridMatcherP final : public core::Processor {
  public:
   GridMatcherP(imdg::DataGrid* grid, std::string map_name,
@@ -50,17 +47,23 @@ class GridMatcherP final : public core::Processor {
         state_bytes_per_key_(state_bytes_per_key),
         window_(window) {}
 
+  ~GridMatcherP() override {
+    // Handles unregister from the grid first, then the claims release.
+    handles_.clear();
+    for (imdg::PartitionId p : claimed_) (void)grid_->ownership().Release(p, owner_id_);
+  }
+
   Status Init(core::ProcessorContext* ctx) override {
     JET_RETURN_IF_ERROR(Processor::Init(ctx));
     partition_count_ = grid_->partition_count();
     const int32_t total = ctx->meta.total_parallelism;
-    const auto g = static_cast<imdg::PartitionId>(ctx->meta.global_index);
-    std::vector<imdg::PartitionId> share;
+    owner_id_ = ctx->meta.global_index;
+    const auto g = static_cast<imdg::PartitionId>(owner_id_);
     for (imdg::PartitionId p = g; p < partition_count_; p += total) {
-      share.push_back(p);
+      JET_RETURN_IF_ERROR(grid_->ownership().Claim(p, /*worker=*/-1, owner_id_));
+      claimed_.push_back(p);
     }
-    JET_RETURN_IF_ERROR(claim_.ClaimPartitions(&grid_->ownership(), share, g));
-    for (imdg::PartitionId p : share) {
+    for (imdg::PartitionId p : claimed_) {
       auto handle = grid_->AcquireOwnedPartition(map_name_, p, g);
       if (!handle.ok()) return handle.status();
       handles_[p] = std::move(handle).value();
@@ -72,8 +75,12 @@ class GridMatcherP final : public core::Processor {
     for (auto& [p, handle] : handles_) handle->ReleaseThreadBinding();
   }
 
+  /// The claims migrate with the tasklet: re-register them under the
+  /// adopting worker (counted in `scheduler.ownership_migrations`).
   void AdoptWorkerOwnership(int32_t worker_index) override {
-    claim_.AdoptWorker(worker_index);
+    for (imdg::PartitionId p : claimed_) {
+      (void)grid_->ownership().Transfer(p, owner_id_, worker_index);
+    }
   }
 
   void Process(int ordinal, core::Inbox* inbox) override {
@@ -115,49 +122,41 @@ class GridMatcherP final : public core::Processor {
 
   bool TryProcessWatermark(Nanos wm) override {
     if (wm > flushed_up_to_) flushed_up_to_ = wm;
+    // One closed frame per room check; false re-delivers wm for the rest.
+    core::Outbox* outbox = ctx()->outbox;
     while (!frames_.empty() && frames_.begin()->first <= wm) {
+      if (!outbox->HasRoom()) return false;
       auto frame_it = frames_.begin();
       const Nanos frame_end = frame_it->first;
       for (auto& [key, count] : frame_it->second) {
         MatcherState partial;
         partial.count = count;
-        pending_.push_back(core::Item::Data<core::KeyedFrame<MatcherState>>(
+        outbox->Emit(core::Item::Data<core::KeyedFrame<MatcherState>>(
             core::KeyedFrame<MatcherState>{key, frame_end, std::move(partial)},
             frame_end, HashU64(key)));
       }
       frames_.erase(frame_it);
     }
-    return FlushPending();
+    return true;
   }
 
   bool SaveToSnapshot() override {
     // Only the local (key, frame) counts need the job snapshot; the state
     // blocks live in the grid, which replicates and survives on its own.
-    if (!snapshot_building_) {
-      snapshot_pending_.clear();
-      for (const auto& [frame_end, keyed] : frames_) {
-        for (const auto& [key, count] : keyed) {
-          core::StateEntry entry;
-          entry.key_hash = HashU64(key);
-          BytesWriter kw;
-          kw.WriteVarU64(key);
-          kw.WriteVarI64(frame_end);
-          entry.key = kw.Take();
-          BytesWriter vw;
-          vw.WriteVarI64(count);
-          entry.value = vw.Take();
-          snapshot_pending_.push_back(std::move(entry));
-        }
+    for (const auto& [frame_end, keyed] : frames_) {
+      for (const auto& [key, count] : keyed) {
+        core::StateEntry entry;
+        entry.key_hash = HashU64(key);
+        BytesWriter kw;
+        kw.WriteVarU64(key);
+        kw.WriteVarI64(frame_end);
+        entry.key = kw.Take();
+        BytesWriter vw;
+        vw.WriteVarI64(count);
+        entry.value = vw.Take();
+        ctx()->outbox->EmitState(std::move(entry));
       }
-      snapshot_building_ = true;
     }
-    while (!snapshot_pending_.empty()) {
-      if (!ctx()->outbox->OfferToSnapshot(std::move(snapshot_pending_.front()))) {
-        return false;
-      }
-      snapshot_pending_.pop_front();
-    }
-    snapshot_building_ = false;
     return true;
   }
 
@@ -181,30 +180,19 @@ class GridMatcherP final : public core::Processor {
   size_t owned_partition_count() const { return handles_.size(); }
 
  private:
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   imdg::DataGrid* grid_;
   std::string map_name_;
   int32_t state_bytes_per_key_;
   core::WindowDef window_;
   int32_t partition_count_ = 0;
-  // Declared before the handles: handles must die first (they unregister
-  // from the grid), then the claims release in the ownership table.
-  core::StateOwnershipClaim claim_;
+  int64_t owner_id_ = imdg::PartitionOwnershipTable::kNoTasklet;
+  // Grid partitions this instance claimed in grid_->ownership().
+  std::vector<imdg::PartitionId> claimed_;
   std::unordered_map<imdg::PartitionId, std::unique_ptr<imdg::OwnedPartitionHandle>>
       handles_;
   std::map<Nanos, std::unordered_map<uint64_t, int64_t>> frames_;
   Nanos flushed_up_to_ = core::kMinWatermark;
   int64_t late_events_dropped_ = 0;
-  std::deque<core::Item> pending_;
-  std::deque<core::StateEntry> snapshot_pending_;
-  bool snapshot_building_ = false;
 };
 
 /// GenFn emitting the grid-owned routing hash: key_hash = key % partition

@@ -89,6 +89,49 @@ TEST(OutboxTest, SnapshotBucketIndependent) {
   EXPECT_FALSE(outbox.Empty());
 }
 
+TEST(OutboxTest, EmitAcceptsPastCapacityAndHasRoomTracksEveryBucket) {
+  Outbox outbox(2, /*bucket_capacity=*/2);
+  EXPECT_TRUE(outbox.HasRoom());
+  ASSERT_TRUE(outbox.Offer(0, Item::Data<int>(0, 0)));
+  EXPECT_TRUE(outbox.HasRoom());
+  ASSERT_TRUE(outbox.Offer(0, Item::Data<int>(1, 0)));
+  EXPECT_FALSE(outbox.HasRoom());  // bucket 0 full, bucket 1 empty
+
+  // One unit of work's output goes in whole, past capacity, in order.
+  for (int i = 2; i < 5; ++i) outbox.Emit(Item::Data<int>(i, 0));
+  ASSERT_EQ(outbox.bucket(0).size(), 5u);
+  ASSERT_EQ(outbox.bucket(1).size(), 3u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(outbox.bucket(0)[i].payload.As<int>(), i);
+  EXPECT_EQ(outbox.bucket(1).front().payload.As<int>(), 2);
+  EXPECT_EQ(outbox.bucket(1).back().payload.As<int>(), 4);
+  EXPECT_FALSE(outbox.HasRoom());
+  EXPECT_FALSE(outbox.OfferToAll(Item::Data<int>(9, 0)));  // bounded wrapper still refuses
+
+  outbox.bucket(0).clear();
+  EXPECT_FALSE(outbox.HasRoom());  // bucket 1 still over capacity
+  outbox.bucket(1).clear();
+  EXPECT_TRUE(outbox.HasRoom());
+}
+
+TEST(OutboxTest, EmitMovesIntoLastBucketAndSharesTheRest) {
+  Outbox outbox(3, /*bucket_capacity=*/1);
+  Item item = Item::Data<int>(42, 7);
+  const int* original = &item.payload.As<int>();
+  outbox.Emit(std::move(item));
+  EXPECT_TRUE(item.payload.Empty());
+  EXPECT_EQ(outbox.bucket(0).front().payload.SharedCount(), 3);
+  EXPECT_EQ(&outbox.bucket(2).front().payload.As<int>(), original);
+}
+
+TEST(OutboxTest, EmitStateAcceptsPastCapacity) {
+  Outbox outbox(1, /*bucket_capacity=*/2);
+  for (int i = 0; i < 5; ++i) outbox.EmitState(StateEntry{static_cast<uint64_t>(i), {}, {}});
+  ASSERT_EQ(outbox.snapshot_bucket().size(), 5u);
+  EXPECT_EQ(outbox.snapshot_bucket().back().key_hash, 4u);
+  EXPECT_FALSE(outbox.OfferToSnapshot(StateEntry{}));  // bounded wrapper still refuses
+  EXPECT_TRUE(outbox.HasRoom());  // snapshot state does not block data output
+}
+
 // ---------------------------------------------------------------------------
 // WatermarkCoalescer
 // ---------------------------------------------------------------------------
